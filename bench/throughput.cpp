@@ -25,6 +25,8 @@
 //   --check exits nonzero if the incremental comparator is not faster
 //   than the exhaustive path or the batched path loses its edge over the
 //   per-cycle incremental one (the perf-smoke CTest gate).
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -132,6 +134,29 @@ struct Signature {
   std::array<std::array<LegacySlot, core::kMaxIssueWidth>, core::kPipelineStages> stages_{};
 };
 
+// The two-core staggering counter of the pre-incremental monitor, frozen
+// here so changes to monitor::InstructionDiff do not move the baseline.
+struct InstDiff {
+  void on_commits(unsigned commits0, unsigned commits1) {
+    if ((ignore[0] | ignore[1]) == 0) {
+      cum[0] += commits0;
+      cum[1] += commits1;
+      return;
+    }
+    const unsigned commits[2] = {commits0, commits1};
+    for (unsigned r = 0; r < 2; ++r) {
+      const u64 skip = std::min<u64>(ignore[r], commits[r]);
+      ignore[r] -= skip;
+      cum[r] += commits[r] - skip;
+    }
+  }
+  bool armed() const { return (ignore[0] | ignore[1]) == 0; }
+  i64 diff() const { return static_cast<i64>(cum[0] - cum[1]); }
+
+  std::array<u64, 2> cum{};
+  std::array<u64, 2> ignore{};
+};
+
 // Full pre-PR per-cycle datapath, including the bookkeeping the current
 // SafeDm still performs (commit diff, run-length histograms, interrupt
 // check) so the measured delta isolates the comparison strategy.
@@ -199,7 +224,7 @@ struct Monitor {
   monitor::SafeDmConfig config_;
   Signature sig0_;
   Signature sig1_;
-  monitor::InstructionDiff inst_diff_;
+  InstDiff inst_diff_;
   bool enabled_;
   bool irq_pending_ = false;
   std::array<bool, 2> seen_commit_{false, false};

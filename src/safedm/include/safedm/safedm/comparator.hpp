@@ -119,46 +119,27 @@ class DiversityComparator {
   bool ds_match() const { return ds_match_; }
   bool is_match() const { return is_match_; }
 
-  // ---- batched fast-path hooks (SafeDm::on_cycles) ------------------------
+  // ---- plane-kernel hooks (SafeDm's monitor kernel) ----------------------
   //
-  // The chunk loop owns the shift cursors locally and calls exactly one of
-  // step_shift / step_realign per shifted cycle (both-held cycles touch
-  // nothing; their count is handed to batch_commit). Contract: raw compare
-  // mode, single-word masks (depth <= 64); for step_realign the caller has
-  // already written the cycle's samples into both generators' ring planes.
-  // batch_commit runs once per chunk, after the generators' own
-  // batch_commit, to sync cursors and fold in the amortized stats.
+  // The kernel owns the shift cursors locally and calls exactly one of
+  // step_shift_fixed / step_realign per shifted cycle (both-held cycles
+  // touch nothing; their count is handed to batch_commit). Contract: raw
+  // compare mode, single-word masks (depth <= 64); for step_realign the
+  // caller has already written the cycle's samples into both generators'
+  // ring planes. batch_commit runs once per chunk, after the generators'
+  // own batch_commit, to sync cursors and fold in the amortized stats.
 
   /// Both cores shifted: age the masks and insert the newest pair straight
-  /// from the tap frames (no ring read). Returns the DS verdict.
-  bool step_shift(const core::CoreTapFrame& fa, const core::CoreTapFrame& fb) {
-    const unsigned top = depth_ - 1;
-    u64* masks = port_mismatch_.data();
-    u64 agg = 0;
-    for (unsigned p = 0; p < ports_; ++p) {
-      u64 mask = masks[p] >> 1;
-      mask |= static_cast<u64>((fa.port[p].value != fb.port[p].value) |
-                               (fa.port[p].enable != fb.port[p].enable))
-              << top;
-      masks[p] = mask;
-      agg |= mask;
-    }
-    mismatch_agg_ = agg;
-    ds_match_ = agg == 0;
-    ++stats_.fast_updates;
-    return ds_match_;
-  }
-
-  /// step_shift with the port count baked in at compile time: the chunk
-  /// loop dispatches once on config_.num_ports, and the constant trip
-  /// count lets the compiler fully unroll the mask update alongside the
-  /// caller's ring-plane writes (which read the same frame ports).
+  /// from the tap frames (no ring read). P bakes in the port count so the
+  /// mask update fully unrolls next to the caller's ring-plane writes;
+  /// P == 0 reads the runtime count. Returns the DS verdict.
   template <unsigned P>
   bool step_shift_fixed(const core::CoreTapFrame& fa, const core::CoreTapFrame& fb) {
+    const unsigned ports = P != 0 ? P : ports_;
     const unsigned top = depth_ - 1;
     u64* masks = port_mismatch_.data();
     u64 agg = 0;
-    for (unsigned p = 0; p < P; ++p) {  // constexpr bound: fully unrolled
+    for (unsigned p = 0; p < ports; ++p) {
       u64 mask = masks[p] >> 1;
       mask |= static_cast<u64>((fa.port[p].value != fb.port[p].value) |
                                (fa.port[p].enable != fb.port[p].enable))
@@ -172,7 +153,7 @@ class DiversityComparator {
     return ds_match_;
   }
 
-  /// Hold signals diverged mid-batch: realign with a full bit-sliced scan
+  /// Hold signals diverged mid-chunk: realign with a full bit-sliced scan
   /// at the caller's explicit shift cursors (the generators' own cursors
   /// lag until batch_commit). Returns the DS verdict.
   bool step_realign(u64 sa, u64 sb);

@@ -7,13 +7,13 @@
 // diversity sources), never false negatives (paper III-A): if any monitored
 // state differs, the cycle is diverse.
 //
-// Beyond the paper's two-core monitor, one SafeDm instance can watch an
-// N-replica redundancy group (2..8): it then keeps a full pairwise
-// diversity matrix — one DiversityComparator and one PairCounters cell per
-// unordered replica pair — and lowers a group VerdictPolicy (any_pair /
-// all_pairs / quorum k) to a threshold over the per-pair verdicts for the
-// group-level counters, histograms, and interrupt. N == 2 is bit-exact
-// with (and as fast as) the original pairwise monitor.
+// One SafeDm instance watches an N-replica redundancy group (2..8; the
+// paper's two-core monitor is N = 2). It keeps a full pairwise diversity
+// matrix — one DiversityComparator and one PairCounters cell per unordered
+// replica pair — and lowers a group VerdictPolicy (any_pair / all_pairs /
+// quorum k) to a threshold over the per-pair verdicts for the group-level
+// counters, histograms, and interrupt. For N = 2 the single pair is the
+// group.
 //
 // The block also contains the two evaluation-support modules of the
 // paper's integration (Fig. 4): the Instruction diff (staggering counter)
@@ -21,6 +21,7 @@
 // register file through which an RTOS programs and polls the monitor.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -42,34 +43,26 @@ class InstructionDiff {
   /// Set the replica count (2..kMaxReplicas); resets all state.
   void configure(unsigned n_replicas);
   void set_ignore(unsigned replica, u64 count);
-  void on_commits(unsigned commits0, unsigned commits1) {
-    if ((ignore_[0] | ignore_[1]) == 0) {  // steady state: no prelude left
-      cum_[0] += commits0;
-      cum_[1] += commits1;
-      return;
+  /// Fold one cycle's commits of one replica in. Commits still inside the
+  /// replica's ignored prelude are consumed instead of counted. Returns
+  /// true while that prelude is not yet fully consumed.
+  bool commit(unsigned replica, u64 commits) {
+    u64& ignore = ignore_[replica];
+    if (ignore != 0) {
+      const u64 skip = std::min(ignore, commits);
+      ignore -= skip;
+      commits -= skip;
     }
-    on_commits_prelude(commits0, commits1);
+    cum_[replica] += commits;
+    return ignore != 0;
   }
-  /// N-replica per-cycle path: one commit count per replica.
-  void on_commits_n(const unsigned* commits, unsigned n_replicas);
   void reset();
-
-  /// Batched path: fold a chunk's per-replica commit sums in. Only legal
-  /// once armed (no prelude left), which the batch eligibility check
-  /// guarantees.
-  void batch_commit(u64 add0, u64 add1) {
-    cum_[0] += add0;
-    cum_[1] += add1;
-  }
-  void batch_commit_n(const u64* adds, unsigned n_replicas);
 
   i64 diff() const { return pair_diff(0, 1); }
   /// Signed committed-instruction distance between replicas i and j.
   i64 pair_diff(unsigned i, unsigned j) const {
     return static_cast<i64>(cum_[i] - cum_[j]);
   }
-  /// Cumulative post-prelude commits of one replica (batched-path rebase).
-  u64 cumulative(unsigned replica) const { return cum_[replica]; }
   /// True once every replica has consumed its ignored prelude commits.
   bool armed() const {
     u64 pending = 0;
@@ -81,8 +74,6 @@ class InstructionDiff {
   void restore_state(StateReader& r);
 
  private:
-  void on_commits_prelude(unsigned commits0, unsigned commits1);
-
   unsigned n_ = 2;
   std::array<u64, kMaxReplicas> cum_{};
   std::array<u64, kMaxReplicas> ignore_{};
@@ -173,29 +164,23 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   void set_interrupt_handler(std::function<void(u64 cycle)> handler);
 
   // ---- observation ---------------------------------------------------------
+  // Every hook forwards to one chunked kernel (a single cycle is a chunk of
+  // one), so the verdict stream, counters, histograms, IRQ timing, and
+  // snapshot bytes do not depend on how a cycle stream is chunked. The
+  // kernel clocks the signatures on every cycle and gates counting on
+  // enabled, all replicas running, and armed inside its loop. With
+  // incremental_compare off, cycles go one at a time through the
+  // exhaustive reference step instead.
   void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
                 const core::CoreTapFrame& frame1) override;
-
   /// Batched delivery (MpSoc observer_batch > 1, or direct driving from
-  /// benches): processes `n` consecutive cycles with per-cycle semantics —
-  /// the verdict stream, counters, histograms, IRQ timing, and snapshot
-  /// bytes are bit-identical to n on_cycle calls, independent of batch
-  /// boundaries. Eligible spans (raw per-stage incremental mode, depth
-  /// <= 64, enabled + armed, no halted frames) run a chunked fast loop
-  /// that compares stage words via one SIMD op, updates the bit-sliced
-  /// mismatch masks in place, and commits generator/comparator/counter
-  /// state once per chunk; everything else falls back to on_cycle.
+  /// benches): `n` consecutive cycles of a 2-replica monitor.
   void on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
                  const core::CoreTapFrame* frame1, unsigned n) override;
-
-  /// N-replica group delivery (config.num_replicas > 2; 2-replica groups
-  /// forward to the pairwise hooks above, so the paper's monitor keeps its
-  /// exact legacy hot path). Updates every cell of the pairwise diversity
-  /// matrix, then lowers the configured VerdictPolicy to a threshold over
-  /// the per-pair verdicts for the group counters/histograms/IRQ.
+  /// Group delivery; n_replicas must equal config.num_replicas.
   void on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
                       unsigned n_replicas) override;
-  /// Batched group delivery: per-cycle-exact, like on_cycles.
+  /// Batched group delivery: frames[r][k] is replica r at first_cycle + k.
   void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
                        unsigned n_replicas, unsigned n_cycles) override;
 
@@ -258,21 +243,26 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   void restore_state(StateReader& r);
 
  private:
+  /// Route a chunk to the kernel instantiation for this config, or cycle by
+  /// cycle to the reference step. frames[r][k] is replica r at
+  /// first_cycle + k.
+  void deliver(u64 first_cycle, const core::CoreTapFrame* const* frames, unsigned n_replicas,
+               unsigned n_cycles);
+  /// The monitor kernel, defined in monitor.cpp. kPair bakes in N = 2 (one
+  /// pair, whose cell is the group counters). P != 0 is the plane strategy
+  /// with the port count baked in; P == 0 is the capture strategy. Returns
+  /// the cycles done: all, or through one whose interrupt handler has run.
+  template <bool kPair, unsigned P>
+  unsigned observe(u64 first_cycle, const core::CoreTapFrame* const* frames, unsigned n_cycles);
+  /// Exhaustive per-cycle step (incremental_compare off): whole-signature
+  /// compares with its own plain bookkeeping, so the kernel has an
+  /// independent oracle for both verdicts and counters.
+  template <bool kPair>
+  void reference_step(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                      unsigned n_cycles);
+  /// nodiv count at which the interrupt fires next (~0: it cannot fire).
+  u64 irq_fire_at() const;
   void update_interrupt(u64 cycle);
-  bool batch_fast_eligible() const;
-  void process_chunk(u64 first_cycle, const core::CoreTapFrame* frame0,
-                     const core::CoreTapFrame* frame1, unsigned m);
-  /// Chunk loop body with the port count baked in (P == 0: runtime count).
-  /// process_chunk dispatches on config_.num_ports so the per-cycle port
-  /// loops fully unroll; defined in monitor.cpp (only instantiated there).
-  template <unsigned P>
-  void process_chunk_ports(u64 first_cycle, const core::CoreTapFrame* frame0,
-                           const core::CoreTapFrame* frame1, unsigned m);
-  /// N > 2 per-cycle matrix update (the group analogue of on_cycle's body).
-  void group_cycle(u64 cycle, const core::CoreTapFrame* const* frames);
-  /// N > 2 batched chunk (the group analogue of process_chunk).
-  void process_group_chunk(u64 first_cycle, const core::CoreTapFrame* const* frames,
-                           unsigned offset, unsigned m);
 
   SafeDmConfig config_;
   /// One generator per replica, one comparator per unordered replica pair

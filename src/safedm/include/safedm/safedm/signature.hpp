@@ -160,9 +160,9 @@ class SignatureGenerator {
   const u8* enables_data() const { return enables_.data(); }
   unsigned padded_depth() const { return padded_depth_; }
 
-  // ---- batched-capture support (SafeDm::on_cycles fast path) --------------
+  // ---- plane-kernel support (SafeDm's monitor kernel) ---------------------
   //
-  // The batched monitor path writes ring slots directly through these
+  // The kernel's plane strategy writes ring slots directly through these
   // mutable plane pointers (same layout/contract as the *_data() views,
   // enable bytes strictly 0/1) and then calls batch_commit() once per
   // chunk to sync the shift cursor, the pipeline snapshot, and the stage

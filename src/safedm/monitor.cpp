@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "safedm/common/check.hpp"
 #include "safedm/common/state.hpp"
@@ -27,29 +28,6 @@ void InstructionDiff::configure(unsigned n_replicas) {
 void InstructionDiff::set_ignore(unsigned replica, u64 count) {
   SAFEDM_CHECK(replica < n_);
   ignore_[replica] = count;
-}
-
-void InstructionDiff::on_commits_n(const unsigned* commits, unsigned n_replicas) {
-  SAFEDM_CHECK(n_replicas == n_);
-  for (unsigned r = 0; r < n_replicas; ++r) {
-    u64 c = commits[r];
-    if (ignore_[r] != 0) {
-      const u64 skip = std::min(ignore_[r], c);
-      ignore_[r] -= skip;
-      c -= skip;
-    }
-    cum_[r] += c;
-  }
-}
-
-void InstructionDiff::on_commits_prelude(unsigned commits0, unsigned commits1) {
-  const unsigned commits[2] = {commits0, commits1};
-  on_commits_n(commits, 2);
-}
-
-void InstructionDiff::batch_commit_n(const u64* adds, unsigned n_replicas) {
-  SAFEDM_CHECK(n_replicas == n_);
-  for (unsigned r = 0; r < n_replicas; ++r) cum_[r] += adds[r];
 }
 
 void InstructionDiff::reset() {
@@ -78,6 +56,38 @@ unsigned lower_policy(const SafeDmConfig& config) {
   }
   SAFEDM_CHECK_MSG(false, "unknown verdict policy");
   return 1;
+}
+
+/// The plane strategy (ring-plane writes plus step_* mask compares) covers
+/// raw per-stage compare with single-word masks. CRC compare, flat-list IS,
+/// deeper FIFOs, and distance tracking capture through the generators.
+bool plane_strategy(const SafeDmConfig& config) {
+  return config.compare == CompareMode::kRaw && config.is_mode == IsMode::kPerStage &&
+         config.data_fifo_depth <= 64 && !config.track_distance;
+}
+
+/// The monitor kernel's working copy of a member: a local when kLocal, else
+/// a reference to the member itself.
+template <bool kLocal, typename T>
+using WorkingCopy = std::conditional_t<kLocal, T, T&>;
+
+/// Count a matching cycle into its run, or close the run into the episode
+/// histogram.
+void track_run(bool condition, u64& run, u64& counter, Histogram& hist) {
+  if (condition) {
+    ++counter;
+    ++run;
+  } else if (run > 0) {
+    hist.add(run);
+    run = 0;
+  }
+}
+
+template <typename Counters>
+void add_distance(Counters& c, u64 distance) {
+  c.distance_sum += distance;
+  c.distance_min = std::min(c.distance_min, distance);
+  c.distance_max = std::max(c.distance_max, distance);
 }
 
 }  // namespace
@@ -175,651 +185,348 @@ u64 SafeDm::storage_bits() const {
          (sigs_[0].data_signature_bits() + sigs_[0].instruction_signature_bits());
 }
 
+// ---- observation ---------------------------------------------------------------
+
 void SafeDm::on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
                       const core::CoreTapFrame& frame1) {
-  SAFEDM_CHECK_MSG(config_.num_replicas == 2,
-                   "pairwise delivery on an N-replica monitor; use on_group_cycle");
-  // The signature FIFOs clock continuously (hardware is never "off"); only
-  // the counting/reporting logic is gated by the enable bit. The comparator
-  // likewise tracks every cycle so its bookkeeping stays aligned with the
-  // FIFOs across enable/arm transitions.
-  sigs_[0].capture(frame0);
-  sigs_[1].capture(frame1);
-  if (config_.incremental_compare) pairs_[0].update();
-  inst_diff_.on_commits(frame0.commits, frame1.commits);
-
-  seen_commit_[0] = seen_commit_[0] || frame0.commits > 0;
-  seen_commit_[1] = seen_commit_[1] || frame1.commits > 0;
-  const bool armed = !config_.arm_on_first_commit || (seen_commit_[0] && seen_commit_[1]);
-
-  const bool both_running = !frame0.halted && !frame1.halted;
-  if (!enabled_ || !both_running || !armed) {
-    lacking_now_ = false;
-    ds_match_now_ = false;
-    is_match_now_ = false;
-    if (trail_) trail_->push_back(false);
-    return;
-  }
-
-  ++counters_.monitored_cycles;
-
-  bool ds_match = false;
-  bool is_match = false;
-  if (config_.incremental_compare) {
-    ds_match = pairs_[0].ds_match();
-    is_match = pairs_[0].is_match();
-  } else if (config_.compare == CompareMode::kRaw) {
-    ds_match = SignatureGenerator::data_equal(sigs_[0], sigs_[1]);
-    is_match = SignatureGenerator::instruction_equal(sigs_[0], sigs_[1]);
-  } else {
-    ds_match = sigs_[0].data_crc_exhaustive() == sigs_[1].data_crc_exhaustive();
-    is_match = sigs_[0].instruction_crc_exhaustive() == sigs_[1].instruction_crc_exhaustive();
-  }
-
-  const bool nodiv = ds_match && is_match;
-  lacking_now_ = nodiv;
-  ds_match_now_ = ds_match;
-  is_match_now_ = is_match;
-
-  const auto track = [](bool condition, u64& run, u64& counter, Histogram& hist) {
-    if (condition) {
-      ++counter;
-      ++run;
-    } else if (run > 0) {
-      hist.add(run);
-      run = 0;
-    }
-  };
-  track(ds_match, ds_run_, counters_.ds_match_cycles, hist_ds_);
-  track(is_match, is_run_, counters_.is_match_cycles, hist_is_);
-  track(nodiv, nodiv_run_, counters_.nodiv_cycles, hist_nodiv_);
-
-  if (inst_diff_.armed() && inst_diff_.diff() == 0) ++counters_.zero_stag_cycles;
-
-  if (config_.track_distance) {
-    const u64 distance = SignatureGenerator::data_distance(sigs_[0], sigs_[1]) +
-                         SignatureGenerator::instruction_distance(sigs_[0], sigs_[1]);
-    counters_.distance_sum += distance;
-    counters_.distance_min = std::min(counters_.distance_min, distance);
-    counters_.distance_max = std::max(counters_.distance_max, distance);
-    hist_distance_.add(distance);
-  }
-
-  update_interrupt(cycle);
-  if (trail_) trail_->push_back(lacking_now_);
-}
-
-bool SafeDm::batch_fast_eligible() const {
-  // The chunked loop only covers the default hot configuration; anything
-  // else (CRC compare, flat-list IS, distance tracking, disabled or
-  // not-yet-armed monitor, multi-word masks) falls back to per-cycle
-  // on_cycle, which is always correct.
-  bool all_seen = true;
-  if (config_.arm_on_first_commit) {
-    for (unsigned r = 0; r < config_.num_replicas; ++r) all_seen = all_seen && seen_commit_[r];
-  }
-  return enabled_ && config_.incremental_compare && config_.compare == CompareMode::kRaw &&
-         config_.is_mode == IsMode::kPerStage && !config_.track_distance &&
-         config_.data_fifo_depth <= 64 && all_seen && inst_diff_.armed();
+  on_cycles(cycle, &frame0, &frame1, 1);
 }
 
 void SafeDm::on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
                        const core::CoreTapFrame* frame1, unsigned n) {
-  unsigned i = 0;
-  while (i < n) {
-    // Eligibility can flip mid-batch (arming on first commit, prelude
-    // consumption), so re-check per span; ineligible cycles go one at a
-    // time through the exact per-cycle path.
-    if (!batch_fast_eligible()) {
-      on_cycle(first_cycle + i, frame0[i], frame1[i]);
-      ++i;
-      continue;
-    }
-    // Fast span: consecutive cycles with both cores running. Halted
-    // frames take the per-cycle path (they gate counting but still clock
-    // the signature FIFOs).
-    unsigned j = i;
-    while (j < n && !frame0[j].halted && !frame1[j].halted) ++j;
-    if (j == i) {
-      on_cycle(first_cycle + i, frame0[i], frame1[i]);
-      ++i;
-      continue;
-    }
-    while (i < j) {
-      const unsigned m = std::min(j - i, 64u);
-      process_chunk(first_cycle + i, frame0 + i, frame1 + i, m);
-      i += m;
-    }
-  }
+  const core::CoreTapFrame* const frames[2] = {frame0, frame1};
+  deliver(first_cycle, frames, 2, n);
 }
-
-void SafeDm::process_chunk(u64 first_cycle, const core::CoreTapFrame* frame0,
-                           const core::CoreTapFrame* frame1, unsigned m) {
-  // Dispatch once per chunk on the port count so the per-cycle port loops
-  // (ring-plane writes + mask shift/insert) run with a constant trip count
-  // and fully unroll. P == 0 is the runtime-count fallback; num_ports is
-  // validated at construction so the default arm is unreachable in
-  // practice, but keeps larger geometries correct if the bound ever grows.
-  switch (config_.num_ports) {
-    case 1: process_chunk_ports<1>(first_cycle, frame0, frame1, m); break;
-    case 2: process_chunk_ports<2>(first_cycle, frame0, frame1, m); break;
-    case 3: process_chunk_ports<3>(first_cycle, frame0, frame1, m); break;
-    case 4: process_chunk_ports<4>(first_cycle, frame0, frame1, m); break;
-    case 5: process_chunk_ports<5>(first_cycle, frame0, frame1, m); break;
-    case 6: process_chunk_ports<6>(first_cycle, frame0, frame1, m); break;
-    default: process_chunk_ports<0>(first_cycle, frame0, frame1, m); break;
-  }
-}
-
-template <unsigned P>
-void SafeDm::process_chunk_ports(u64 first_cycle, const core::CoreTapFrame* frame0,
-                                 const core::CoreTapFrame* frame1, unsigned m) {
-  // Per-cycle-exact batched hot loop. All accounting below is keyed to
-  // cycle events (never to chunk boundaries), so the committed state —
-  // including snapshot bytes — is independent of how a cycle stream is
-  // chunked. Kernel dispatch, ring-plane pointers, and counter traffic
-  // are hoisted out of the loop; state is committed once at the end.
-  // The stage compare resolves to a fixed-count kernel (kStageSlots baked
-  // in: straight-line vector code, no loop or tail branches).
-  const simd::WordsEqualFixedFn stage_equal =
-      simd::words_equal_fixed_fn<SignatureGenerator::kStageSlots>(simd::active_kernel());
-  const unsigned ports = P != 0 ? P : config_.num_ports;
-  const unsigned stride = sigs_[0].padded_depth();
-  const unsigned ring_mask = stride - 1;
-  u64* v0 = sigs_[0].values_mut();
-  u8* e0 = sigs_[0].enables_mut();
-  u64* v1 = sigs_[1].values_mut();
-  u8* e1 = sigs_[1].enables_mut();
-  u64 sa = sigs_[0].shift_count();
-  u64 sb = sigs_[1].shift_count();
-  i64 diff = inst_diff_.diff();
-  u64 add0 = 0, add1 = 0;  // per-replica commit sums for the cumulative counters
-  std::vector<bool>* const trail = trail_;
-
-  u64 monitored = 0, nodiv_c = 0, ds_c = 0, is_c = 0, zero_c = 0, holds = 0;
-  u64 nodiv_run = nodiv_run_, ds_run = ds_run_, is_run = is_run_;
-  bool seen0 = seen_commit_[0], seen1 = seen_commit_[1];
-  bool ds_now = ds_match_now_, is_now = is_match_now_, lack_now = lacking_now_;
-
-  // IRQ threshold, precomputed: fire on the exact cycle the nodiv count
-  // reaches it (at most once — the pending latch holds until cleared, and
-  // clearing is an APB/direct call that can't happen mid-chunk).
-  u64 fire_at = ~u64{0};
-  if (!irq_pending_) {
-    if (config_.report == ReportMode::kInterruptFirst) fire_at = 1;
-    else if (config_.report == ReportMode::kInterruptThreshold) fire_at = config_.interrupt_threshold;
-  }
-  // Keep the fire check register-resident: the base only changes inside the
-  // fire branch, which also disarms fire_at, so a stale base is never read.
-  const u64 nodiv_base = counters_.nodiv_cycles;
-
-  const auto write_slot = [&](u64* values, u8* enables, u64 shifts,
-                              const core::CoreTapFrame& f) {
-    const unsigned slot = static_cast<unsigned>(shifts) & ring_mask;
-    for (unsigned p = 0; p < ports; ++p) {
-      const unsigned idx = p * stride + slot;
-      values[idx] = f.port[p].value;
-      enables[idx] = f.port[p].enable ? u8{1} : u8{0};
-    }
-  };
-
-  for (unsigned c = 0; c < m; ++c) {
-    const core::CoreTapFrame& a = frame0[c];
-    const core::CoreTapFrame& b = frame1[c];
-
-    // IS verdict straight off the frames: the packed generator snapshots
-    // would be byte-identical, so skip the two 112-byte stage copies the
-    // per-cycle path pays and compare once with the dispatched kernel.
-    const bool is_match = stage_equal(&a.stage, &b.stage);
-
-    bool ds_match;
-    if (!a.hold && !b.hold) {
-      write_slot(v0, e0, sa, a);
-      write_slot(v1, e1, sb, b);
-      ++sa;
-      ++sb;
-      if constexpr (P != 0) {
-        ds_match = pairs_[0].step_shift_fixed<P>(a, b);
-      } else {
-        ds_match = pairs_[0].step_shift(a, b);
-      }
-    } else if (a.hold && b.hold) {
-      ++holds;
-      ds_match = pairs_[0].ds_match();
-    } else {
-      // Divergent holds: only the un-held core shifts, then realign.
-      if (!a.hold) {
-        write_slot(v0, e0, sa, a);
-        ++sa;
-      }
-      if (!b.hold) {
-        write_slot(v1, e1, sb, b);
-        ++sb;
-      }
-      ds_match = pairs_[0].step_realign(sa, sb);
-    }
-
-    diff += static_cast<i64>(a.commits) - static_cast<i64>(b.commits);
-    add0 += a.commits;
-    add1 += b.commits;
-    seen0 = seen0 || a.commits > 0;
-    seen1 = seen1 || b.commits > 0;
-
-    const bool nodiv = ds_match && is_match;
-    ++monitored;
-    if (ds_match) {
-      ++ds_c;
-      ++ds_run;
-    } else if (ds_run > 0) {
-      hist_ds_.add(ds_run);
-      ds_run = 0;
-    }
-    if (is_match) {
-      ++is_c;
-      ++is_run;
-    } else if (is_run > 0) {
-      hist_is_.add(is_run);
-      is_run = 0;
-    }
-    if (nodiv) {
-      ++nodiv_c;
-      ++nodiv_run;
-    } else if (nodiv_run > 0) {
-      hist_nodiv_.add(nodiv_run);
-      nodiv_run = 0;
-    }
-    if (diff == 0) ++zero_c;
-    ds_now = ds_match;
-    is_now = is_match;
-    lack_now = nodiv;
-    if (trail) trail->push_back(nodiv);
-
-    if (nodiv_base + nodiv_c >= fire_at) {
-      // Commit the scalar state before the handler runs so an RTOS hook
-      // observes counters/flags exactly as the per-cycle path would.
-      // (Generator/comparator internals sync at chunk end; handlers are
-      // not entitled to introspect signature internals mid-cycle.)
-      counters_.monitored_cycles += monitored;
-      counters_.nodiv_cycles += nodiv_c;
-      counters_.ds_match_cycles += ds_c;
-      counters_.is_match_cycles += is_c;
-      counters_.zero_stag_cycles += zero_c;
-      monitored = nodiv_c = ds_c = is_c = zero_c = 0;
-      nodiv_run_ = nodiv_run;
-      ds_run_ = ds_run;
-      is_run_ = is_run;
-      seen_commit_[0] = seen0;
-      seen_commit_[1] = seen1;
-      lacking_now_ = lack_now;
-      ds_match_now_ = ds_now;
-      is_match_now_ = is_now;
-      inst_diff_.batch_commit(add0, add1);
-      add0 = add1 = 0;
-      irq_pending_ = true;
-      ++counters_.interrupts;
-      fire_at = ~u64{0};
-      if (irq_handler_) irq_handler_(first_cycle + c);
-    }
-  }
-
-  counters_.monitored_cycles += monitored;
-  counters_.nodiv_cycles += nodiv_c;
-  counters_.ds_match_cycles += ds_c;
-  counters_.is_match_cycles += is_c;
-  counters_.zero_stag_cycles += zero_c;
-  nodiv_run_ = nodiv_run;
-  ds_run_ = ds_run;
-  is_run_ = is_run;
-  seen_commit_[0] = seen0;
-  seen_commit_[1] = seen1;
-  lacking_now_ = lack_now;
-  ds_match_now_ = ds_now;
-  is_match_now_ = is_now;
-  inst_diff_.batch_commit(add0, add1);
-  sigs_[0].batch_commit(sa, &frame0[m - 1].stage, m);
-  sigs_[1].batch_commit(sb, &frame1[m - 1].stage, m);
-  pairs_[0].batch_commit(holds, m, is_now);
-}
-
-// ---- N-replica group paths -----------------------------------------------------
 
 void SafeDm::on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
                             unsigned n_replicas) {
-  SAFEDM_CHECK_MSG(n_replicas == config_.num_replicas,
-                   "group delivery width != configured num_replicas");
-  if (n_replicas == 2) {
-    on_cycle(cycle, *frames[0], *frames[1]);
-    return;
-  }
-  group_cycle(cycle, frames);
+  deliver(cycle, frames, n_replicas, 1);
 }
 
 void SafeDm::on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
                              unsigned n_replicas, unsigned n_cycles) {
-  SAFEDM_CHECK_MSG(n_replicas == config_.num_replicas,
-                   "group delivery width != configured num_replicas");
-  if (n_replicas == 2) {
-    on_cycles(first_cycle, frames[0], frames[1], n_cycles);
+  deliver(first_cycle, frames, n_replicas, n_cycles);
+}
+
+void SafeDm::deliver(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                     unsigned n_replicas, unsigned n_cycles) {
+  SAFEDM_CHECK(n_replicas == config_.num_replicas);  // delivery width
+  const bool pair = n_replicas == 2;
+  if (!config_.incremental_compare) {
+    pair ? reference_step<true>(first_cycle, frames, n_cycles)
+         : reference_step<false>(first_cycle, frames, n_cycles);
     return;
   }
-  const unsigned n = n_replicas;
-  unsigned i = 0;
-  const core::CoreTapFrame* cur[kMaxReplicas];
-  while (i < n_cycles) {
-    if (!batch_fast_eligible()) {
-      for (unsigned r = 0; r < n; ++r) cur[r] = frames[r] + i;
-      group_cycle(first_cycle + i, cur);
-      ++i;
-      continue;
-    }
-    // Fast span: consecutive cycles with every replica running.
-    unsigned j = i;
-    for (; j < n_cycles; ++j) {
-      bool any_halted = false;
-      for (unsigned r = 0; r < n; ++r) any_halted = any_halted || frames[r][j].halted;
-      if (any_halted) break;
-    }
-    if (j == i) {
-      for (unsigned r = 0; r < n; ++r) cur[r] = frames[r] + i;
-      group_cycle(first_cycle + i, cur);
-      ++i;
-      continue;
-    }
-    while (i < j) {
-      const unsigned m = std::min(j - i, 64u);
-      process_group_chunk(first_cycle + i, frames, i, m);
-      i += m;
-    }
+  if (n_cycles == 1) {  // per-cycle delivery: a chunk of one captures
+    pair ? observe<true, 0>(first_cycle, frames, 1) : observe<false, 0>(first_cycle, frames, 1);
+    return;
+  }
+  // Only the plane strategy touches ports itself, so only it gets a baked-in
+  // port count; num_ports is validated to 1..kMaxPorts at construction.
+  using Kernel = unsigned (SafeDm::*)(u64, const core::CoreTapFrame* const*, unsigned);
+  static constexpr Kernel kKernels[2][core::kMaxPorts + 1] = {
+      {&SafeDm::observe<false, 0>, &SafeDm::observe<false, 1>, &SafeDm::observe<false, 2>,
+       &SafeDm::observe<false, 3>, &SafeDm::observe<false, 4>, &SafeDm::observe<false, 5>,
+       &SafeDm::observe<false, 6>},
+      {&SafeDm::observe<true, 0>, &SafeDm::observe<true, 1>, &SafeDm::observe<true, 2>,
+       &SafeDm::observe<true, 3>, &SafeDm::observe<true, 4>, &SafeDm::observe<true, 5>,
+       &SafeDm::observe<true, 6>}};
+  static_assert(core::kMaxPorts == 6, "extend the kernel table with kMaxPorts");
+  const unsigned ports = plane_strategy(config_) ? config_.num_ports : 0;
+  // The kernel returns after a cycle that raised the interrupt (its handler
+  // may reprogram the monitor) and the chunk resumes. Single cycles capture:
+  // only longer chunks amortize the plane cursor sync; both leave equal state.
+  const core::CoreTapFrame* rest[kMaxReplicas];
+  for (unsigned done = 0; done < n_cycles;) {
+    for (unsigned r = 0; r < n_replicas; ++r) rest[r] = frames[r] + done;
+    const unsigned left = n_cycles - done;
+    done += (this->*kKernels[pair][left > 1 ? ports : 0])(first_cycle + done, rest, left);
   }
 }
 
-void SafeDm::group_cycle(u64 cycle, const core::CoreTapFrame* const* frames) {
-  const unsigned n = config_.num_replicas;
-  for (unsigned r = 0; r < n; ++r) sigs_[r].capture(*frames[r]);
-  if (config_.incremental_compare) {
-    for (auto& pair : pairs_) pair.update();
-  }
-
-  unsigned commits[kMaxReplicas] = {};
-  for (unsigned r = 0; r < n; ++r) commits[r] = frames[r]->commits;
-  inst_diff_.on_commits_n(commits, n);
-
-  bool all_seen = true;
-  bool all_running = true;
-  for (unsigned r = 0; r < n; ++r) {
-    seen_commit_[r] = seen_commit_[r] || frames[r]->commits > 0;
-    all_seen = all_seen && seen_commit_[r];
-    all_running = all_running && !frames[r]->halted;
-  }
-  const bool armed = !config_.arm_on_first_commit || all_seen;
-  if (!enabled_ || !all_running || !armed) {
-    lacking_now_ = false;
-    ds_match_now_ = false;
-    is_match_now_ = false;
-    if (trail_) trail_->push_back(false);
-    return;
-  }
-
-  ++counters_.monitored_cycles;
-
-  const bool stag_armed = inst_diff_.armed();
-  const unsigned n_pairs = static_cast<unsigned>(pairs_.size());
-  unsigned ds_n = 0, is_n = 0, nodiv_n = 0, zero_n = 0;
-  u64 group_distance = ~u64{0};
-  for (unsigned p = 0; p < n_pairs; ++p) {
-    const unsigned pi = pair_replicas_[p].first;
-    const unsigned pj = pair_replicas_[p].second;
-    bool ds_match;
-    bool is_match;
-    if (config_.incremental_compare) {
-      ds_match = pairs_[p].ds_match();
-      is_match = pairs_[p].is_match();
-    } else if (config_.compare == CompareMode::kRaw) {
-      ds_match = SignatureGenerator::data_equal(sigs_[pi], sigs_[pj]);
-      is_match = SignatureGenerator::instruction_equal(sigs_[pi], sigs_[pj]);
+template <bool kPair, unsigned P>
+unsigned SafeDm::observe(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                         unsigned n_cycles) {
+  // Every event below is keyed to a cycle, never to a chunk boundary, so
+  // the committed state (snapshot bytes included) does not depend on how
+  // the stream is chunked.
+  const unsigned n = kPair ? 2 : config_.num_replicas;
+  const unsigned n_pairs = kPair ? 1 : num_pairs();
+  const unsigned needed = kPair ? 1 : needed_;
+  // Replica loops unroll for pairs, so per-replica locals stay in registers.
+  const auto each_replica = [n](auto&& body) {
+    if constexpr (kPair) {
+      body(0u);
+      body(1u);
     } else {
-      ds_match = sigs_[pi].data_crc_exhaustive() == sigs_[pj].data_crc_exhaustive();
-      is_match =
-          sigs_[pi].instruction_crc_exhaustive() == sigs_[pj].instruction_crc_exhaustive();
-    }
-    const bool nodiv = ds_match && is_match;
-    PairCounters& pc = pair_counters_[p];
-    if (ds_match) {
-      ++pc.ds_match_cycles;
-      ++ds_n;
-    }
-    if (is_match) {
-      ++pc.is_match_cycles;
-      ++is_n;
-    }
-    if (nodiv) {
-      ++pc.nodiv_cycles;
-      ++nodiv_n;
-    }
-    if (stag_armed && inst_diff_.pair_diff(pi, pj) == 0) {
-      ++pc.zero_stag_cycles;
-      ++zero_n;
-    }
-    if (config_.track_distance) {
-      const u64 distance = SignatureGenerator::data_distance(sigs_[pi], sigs_[pj]) +
-                           SignatureGenerator::instruction_distance(sigs_[pi], sigs_[pj]);
-      pc.distance_sum += distance;
-      pc.distance_min = std::min(pc.distance_min, distance);
-      pc.distance_max = std::max(pc.distance_max, distance);
-      group_distance = std::min(group_distance, distance);
-    }
-  }
-
-  // Group verdicts: the lowered policy threshold over the per-pair verdicts.
-  const bool ds_match = ds_n >= needed_;
-  const bool is_match = is_n >= needed_;
-  const bool nodiv = nodiv_n >= needed_;
-  lacking_now_ = nodiv;
-  ds_match_now_ = ds_match;
-  is_match_now_ = is_match;
-
-  const auto track = [](bool condition, u64& run, u64& counter, Histogram& hist) {
-    if (condition) {
-      ++counter;
-      ++run;
-    } else if (run > 0) {
-      hist.add(run);
-      run = 0;
+      for (unsigned r = 0; r < n; ++r) body(r);
     }
   };
-  track(ds_match, ds_run_, counters_.ds_match_cycles, hist_ds_);
-  track(is_match, is_run_, counters_.is_match_cycles, hist_is_);
-  track(nodiv, nodiv_run_, counters_.nodiv_cycles, hist_nodiv_);
-
-  if (zero_n >= needed_) ++counters_.zero_stag_cycles;
-
-  if (config_.track_distance) {
-    // The group's diversity magnitude is its weakest link: the minimum
-    // pairwise distance this cycle.
-    counters_.distance_sum += group_distance;
-    counters_.distance_min = std::min(counters_.distance_min, group_distance);
-    counters_.distance_max = std::max(counters_.distance_max, group_distance);
-    hist_distance_.add(group_distance);
+  // Verdict strategy. Planes (P != 0): write the generators' ring planes
+  // here, compare stage words straight off the frames, and sync the
+  // generator and comparator cursors once at chunk end. Capture (P == 0):
+  // every cycle goes through capture() and DiversityComparator::update().
+  constexpr bool kPlanes = P != 0;
+  const bool track_distance = !kPlanes && config_.track_distance;
+  simd::WordsEqualFixedFn stage_equal = nullptr;
+  if constexpr (kPlanes) {
+    stage_equal =
+        simd::words_equal_fixed_fn<SignatureGenerator::kStageSlots>(simd::active_kernel());
   }
-
-  update_interrupt(cycle);
-  if (trail_) trail_->push_back(lacking_now_);
-}
-
-void SafeDm::process_group_chunk(u64 first_cycle, const core::CoreTapFrame* const* frames,
-                                 unsigned offset, unsigned m) {
-  // The N-replica analogue of process_chunk_ports: per-cycle-exact, all
-  // commits keyed to cycle events. Port/pair loops run with runtime trip
-  // counts (the matrix dominates the cost; the per-port unrolling of the
-  // pairwise path buys little here).
-  const simd::WordsEqualFixedFn stage_equal =
-      simd::words_equal_fixed_fn<SignatureGenerator::kStageSlots>(simd::active_kernel());
-  const unsigned n = config_.num_replicas;
-  const unsigned n_pairs = static_cast<unsigned>(pairs_.size());
-  const unsigned ports = config_.num_ports;
   const unsigned stride = sigs_[0].padded_depth();
   const unsigned ring_mask = stride - 1;
-
+  const core::CoreTapFrame* lane[kMaxReplicas];
   u64* values[kMaxReplicas];
   u8* enables[kMaxReplicas];
   u64 shifts[kMaxReplicas];
-  u64 adds[kMaxReplicas] = {};
-  bool seen[kMaxReplicas];
-  for (unsigned r = 0; r < n; ++r) {
+  bool all_seen = true;
+  each_replica([&](unsigned r) {
+    lane[r] = frames[r];
     values[r] = sigs_[r].values_mut();
     enables[r] = sigs_[r].enables_mut();
     shifts[r] = sigs_[r].shift_count();
-    seen[r] = seen_commit_[r];
-  }
-  // Pair staggering diffs, rebased whenever the chunk commits mid-stream.
-  i64 stag_base[kMaxReplicaPairs];
-  u64 hold_reuses[kMaxReplicaPairs] = {};
-  bool pair_is[kMaxReplicaPairs] = {};
-  for (unsigned p = 0; p < n_pairs; ++p)
-    stag_base[p] = inst_diff_.pair_diff(pair_replicas_[p].first, pair_replicas_[p].second);
+    all_seen = all_seen && seen_commit_[r];
+  });
+  constexpr unsigned kPairSlots = kPair ? 1 : kMaxReplicaPairs;
+  u64 hold_reuses[kPairSlots] = {};
+  bool pair_is[kPairSlots] = {};
+  // Counting needs the monitor enabled and armed (every replica committed
+  // once, unless arming is off); only arming changes mid-chunk.
+  bool gate = enabled_ && (all_seen || !config_.arm_on_first_commit);
 
-  u64 monitored = 0, nodiv_c = 0, ds_c = 0, is_c = 0, zero_c = 0;
-  u64 nodiv_run = nodiv_run_, ds_run = ds_run_, is_run = is_run_;
-  bool ds_now = ds_match_now_, is_now = is_match_now_, lack_now = lacking_now_;
+  // Planes keep the scalar state the loop updates in locals, since the
+  // ring-plane byte stores may alias any member and would force a reload
+  // after each one; they are written back when the loop ends. Capture,
+  // which per-cycle delivery uses, updates the members in place.
+  WorkingCopy<kPlanes, SafeDmCounters> cnt = counters_;
+  WorkingCopy<kPlanes, InstructionDiff> stag = inst_diff_;
+  WorkingCopy<kPlanes, u64> nodiv_run = nodiv_run_, ds_run = ds_run_, is_run = is_run_;
+  WorkingCopy<kPlanes, bool> lack_now = lacking_now_, ds_now = ds_match_now_,
+                             is_now = is_match_now_;
+  bool stag_armed = inst_diff_.armed();
+  const u64 fire_at = irq_fire_at();
+  bool fired = false;
   std::vector<bool>* const trail = trail_;
 
-  u64 fire_at = ~u64{0};
-  if (!irq_pending_) {
-    if (config_.report == ReportMode::kInterruptFirst) fire_at = 1;
-    else if (config_.report == ReportMode::kInterruptThreshold) fire_at = config_.interrupt_threshold;
-  }
-  const u64 nodiv_base = counters_.nodiv_cycles;
+  unsigned c = 0;
+  for (; c < n_cycles; ++c) {
+    // Staggering and arming first: they read nothing but the frames.
+    bool all_running = true;
+    bool prelude = false;
+    each_replica([&](unsigned r) {
+      const core::CoreTapFrame& f = lane[r][c];
+      prelude |= stag.commit(r, f.commits);
+      all_running &= !f.halted;
+    });
+    stag_armed = stag_armed || !prelude;
+    if (!all_seen) {
+      all_seen = true;
+      each_replica([&](unsigned r) {
+        seen_commit_[r] = seen_commit_[r] || lane[r][c].commits > 0;
+        all_seen = all_seen && seen_commit_[r];
+      });
+      gate = enabled_ && (all_seen || !config_.arm_on_first_commit);
+    }
+    const bool counted = gate && all_running;
 
-  for (unsigned c = 0; c < m; ++c) {
-    bool shifted[kMaxReplicas];
-    for (unsigned r = 0; r < n; ++r) {
-      const core::CoreTapFrame& f = frames[r][offset + c];
-      shifted[r] = !f.hold;
-      if (!f.hold) {
+    // Clock every signature and comparator whatever the cores' state: the
+    // FIFOs never stop, only counting is gated.
+    each_replica([&](unsigned r) {
+      const core::CoreTapFrame& f = lane[r][c];
+      if constexpr (!kPlanes) {
+        sigs_[r].capture(f);
+      } else if (!f.hold) {
         const unsigned slot = static_cast<unsigned>(shifts[r]) & ring_mask;
-        for (unsigned p = 0; p < ports; ++p) {
-          const unsigned idx = p * stride + slot;
-          values[r][idx] = f.port[p].value;
-          enables[r][idx] = f.port[p].enable ? u8{1} : u8{0};
+        for (unsigned p = 0; p < P; ++p) {
+          values[r][p * stride + slot] = f.port[p].value;
+          enables[r][p * stride + slot] = f.port[p].enable ? u8{1} : u8{0};
         }
         ++shifts[r];
       }
-      adds[r] += f.commits;
-      seen[r] = seen[r] || f.commits > 0;
-    }
+    });
 
     unsigned ds_n = 0, is_n = 0, nodiv_n = 0, zero_n = 0;
+    u64 group_distance = ~u64{0};
     for (unsigned p = 0; p < n_pairs; ++p) {
-      const unsigned pi = pair_replicas_[p].first;
-      const unsigned pj = pair_replicas_[p].second;
-      const core::CoreTapFrame& fi = frames[pi][offset + c];
-      const core::CoreTapFrame& fj = frames[pj][offset + c];
+      const unsigned pi = kPair ? 0 : pair_replicas_[p].first;
+      const unsigned pj = kPair ? 1 : pair_replicas_[p].second;
+      DiversityComparator& cmp = pairs_[p];
       bool ds_match;
-      if (shifted[pi] && shifted[pj]) {
-        ds_match = pairs_[p].step_shift(fi, fj);
-      } else if (!shifted[pi] && !shifted[pj]) {
-        ++hold_reuses[p];
-        ds_match = pairs_[p].ds_match();
+      bool is_match;
+      if constexpr (kPlanes) {
+        const core::CoreTapFrame& fi = lane[pi][c];
+        const core::CoreTapFrame& fj = lane[pj][c];
+        // The packed generator snapshots would be byte-identical to the
+        // frames' stages, so compare those directly.
+        is_match = pair_is[p] = stage_equal(&fi.stage, &fj.stage);
+        if (!fi.hold && !fj.hold) {
+          ds_match = cmp.step_shift_fixed<P>(fi, fj);
+        } else if (fi.hold && fj.hold) {
+          ++hold_reuses[p];
+          ds_match = cmp.ds_match();
+        } else {
+          ds_match = cmp.step_realign(shifts[pi], shifts[pj]);
+        }
       } else {
-        ds_match = pairs_[p].step_realign(shifts[pi], shifts[pj]);
+        cmp.update();
+        ds_match = cmp.ds_match();
+        is_match = cmp.is_match();
       }
-      const bool is_match = stage_equal(&fi.stage, &fj.stage);
-      pair_is[p] = is_match;
+      // Tallied unconditionally; uncounted cycles drop the tallies below.
       const bool nodiv = ds_match && is_match;
-      PairCounters& pc = pair_counters_[p];
-      if (ds_match) {
-        ++pc.ds_match_cycles;
-        ++ds_n;
+      const bool zero = stag_armed && stag.pair_diff(pi, pj) == 0;
+      ds_n += ds_match;
+      is_n += is_match;
+      nodiv_n += nodiv;
+      zero_n += zero;
+      if (!counted) continue;
+      u64 distance = 0;
+      if (track_distance) {
+        distance = SignatureGenerator::data_distance(sigs_[pi], sigs_[pj]) +
+                   SignatureGenerator::instruction_distance(sigs_[pi], sigs_[pj]);
+        group_distance = std::min(group_distance, distance);
       }
-      if (is_match) {
-        ++pc.is_match_cycles;
-        ++is_n;
-      }
-      if (nodiv) {
-        ++pc.nodiv_cycles;
-        ++nodiv_n;
-      }
-      // Batch eligibility guarantees the staggering counter is armed.
-      if (stag_base[p] + static_cast<i64>(adds[pi] - adds[pj]) == 0) {
-        ++pc.zero_stag_cycles;
-        ++zero_n;
+      if constexpr (!kPair) {
+        PairCounters& pc = pair_counters_[p];
+        pc.ds_match_cycles += ds_match;
+        pc.is_match_cycles += is_match;
+        pc.nodiv_cycles += nodiv;
+        pc.zero_stag_cycles += zero;
+        if (track_distance) add_distance(pc, distance);
       }
     }
 
-    ++monitored;
-    const bool ds_match_g = ds_n >= needed_;
-    const bool is_match_g = is_n >= needed_;
-    const bool nodiv_g = nodiv_n >= needed_;
-    if (ds_match_g) {
-      ++ds_c;
-      ++ds_run;
-    } else if (ds_run > 0) {
-      hist_ds_.add(ds_run);
-      ds_run = 0;
+    if (!counted) [[unlikely]] {
+      lack_now = ds_now = is_now = false;
+      if (trail) trail->push_back(false);
+      continue;
     }
-    if (is_match_g) {
-      ++is_c;
-      ++is_run;
-    } else if (is_run > 0) {
-      hist_is_.add(is_run);
-      is_run = 0;
+    ++cnt.monitored_cycles;
+    // Group verdicts: the lowered policy threshold over the pair verdicts.
+    ds_now = ds_n >= needed;
+    is_now = is_n >= needed;
+    lack_now = nodiv_n >= needed;
+    track_run(ds_now, ds_run, cnt.ds_match_cycles, hist_ds_);
+    track_run(is_now, is_run, cnt.is_match_cycles, hist_is_);
+    track_run(lack_now, nodiv_run, cnt.nodiv_cycles, hist_nodiv_);
+    if (zero_n >= needed) ++cnt.zero_stag_cycles;
+    if (track_distance) {
+      // The group's diversity magnitude is its weakest link.
+      add_distance(cnt, group_distance);
+      hist_distance_.add(group_distance);
     }
-    if (nodiv_g) {
-      ++nodiv_c;
-      ++nodiv_run;
-    } else if (nodiv_run > 0) {
-      hist_nodiv_.add(nodiv_run);
-      nodiv_run = 0;
-    }
-    if (zero_n >= needed_) ++zero_c;
-    ds_now = ds_match_g;
-    is_now = is_match_g;
-    lack_now = nodiv_g;
-    if (trail) trail->push_back(nodiv_g);
+    if (trail) trail->push_back(lack_now);
 
-    if (nodiv_base + nodiv_c >= fire_at) {
-      counters_.monitored_cycles += monitored;
-      counters_.nodiv_cycles += nodiv_c;
-      counters_.ds_match_cycles += ds_c;
-      counters_.is_match_cycles += is_c;
-      counters_.zero_stag_cycles += zero_c;
-      monitored = nodiv_c = ds_c = is_c = zero_c = 0;
-      nodiv_run_ = nodiv_run;
-      ds_run_ = ds_run;
-      is_run_ = is_run;
-      for (unsigned r = 0; r < n; ++r) seen_commit_[r] = seen[r];
-      lacking_now_ = lack_now;
-      ds_match_now_ = ds_now;
-      is_match_now_ = is_now;
-      inst_diff_.batch_commit_n(adds, n);
-      for (unsigned r = 0; r < n; ++r) adds[r] = 0;
-      for (unsigned p = 0; p < n_pairs; ++p)
-        stag_base[p] =
-            inst_diff_.pair_diff(pair_replicas_[p].first, pair_replicas_[p].second);
+    if (cnt.nodiv_cycles >= fire_at) {
       irq_pending_ = true;
-      ++counters_.interrupts;
-      fire_at = ~u64{0};
-      if (irq_handler_) irq_handler_(first_cycle + c);
+      ++cnt.interrupts;
+      fired = true;
+      break;
     }
   }
 
-  counters_.monitored_cycles += monitored;
-  counters_.nodiv_cycles += nodiv_c;
-  counters_.ds_match_cycles += ds_c;
-  counters_.is_match_cycles += is_c;
-  counters_.zero_stag_cycles += zero_c;
-  nodiv_run_ = nodiv_run;
-  ds_run_ = ds_run;
-  is_run_ = is_run;
-  for (unsigned r = 0; r < n; ++r) seen_commit_[r] = seen[r];
-  lacking_now_ = lack_now;
-  ds_match_now_ = ds_now;
-  is_match_now_ = is_now;
-  inst_diff_.batch_commit_n(adds, n);
-  for (unsigned r = 0; r < n; ++r)
-    sigs_[r].batch_commit(shifts[r], &frames[r][offset + m - 1].stage, m);
-  for (unsigned p = 0; p < n_pairs; ++p)
-    pairs_[p].batch_commit(hold_reuses[p], m, pair_is[p]);
+  // Commit the cycles done before the handler sees the monitor.
+  const unsigned done = fired ? c + 1 : n_cycles;
+  if constexpr (kPlanes) {
+    counters_ = cnt;
+    inst_diff_ = stag;
+    nodiv_run_ = nodiv_run;
+    ds_run_ = ds_run;
+    is_run_ = is_run;
+    lacking_now_ = lack_now;
+    ds_match_now_ = ds_now;
+    is_match_now_ = is_now;
+    each_replica(
+        [&](unsigned r) { sigs_[r].batch_commit(shifts[r], &lane[r][done - 1].stage, done); });
+    for (unsigned p = 0; p < n_pairs; ++p) pairs_[p].batch_commit(hold_reuses[p], done, pair_is[p]);
+  }
+  if (fired && irq_handler_) irq_handler_(first_cycle + c);
+  return done;
+}
+
+template <bool kPair>
+void SafeDm::reference_step(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                            unsigned n_cycles) {
+  const unsigned n = kPair ? 2 : config_.num_replicas;
+  const unsigned n_pairs = kPair ? 1 : num_pairs();
+  for (unsigned k = 0; k < n_cycles; ++k) {
+    bool all_seen = true;
+    bool all_running = true;
+    for (unsigned r = 0; r < n; ++r) {
+      const core::CoreTapFrame& f = frames[r][k];
+      sigs_[r].capture(f);
+      inst_diff_.commit(r, f.commits);
+      seen_commit_[r] = seen_commit_[r] || f.commits > 0;
+      all_seen = all_seen && seen_commit_[r];
+      all_running = all_running && !f.halted;
+    }
+    const bool armed = !config_.arm_on_first_commit || all_seen;
+    if (!enabled_ || !all_running || !armed) {
+      lacking_now_ = ds_match_now_ = is_match_now_ = false;
+      if (trail_) trail_->push_back(false);
+      continue;
+    }
+
+    ++counters_.monitored_cycles;
+
+    const bool stag_armed = inst_diff_.armed();
+    unsigned ds_n = 0, is_n = 0, nodiv_n = 0, zero_n = 0;
+    u64 group_distance = ~u64{0};
+    for (unsigned p = 0; p < n_pairs; ++p) {
+      const unsigned pi = kPair ? 0 : pair_replicas_[p].first;
+      const unsigned pj = kPair ? 1 : pair_replicas_[p].second;
+      const SignatureGenerator& a = sigs_[pi];
+      const SignatureGenerator& b = sigs_[pj];
+      bool ds_match;
+      bool is_match;
+      if (config_.compare == CompareMode::kRaw) {
+        ds_match = SignatureGenerator::data_equal(a, b);
+        is_match = SignatureGenerator::instruction_equal(a, b);
+      } else {
+        ds_match = a.data_crc_exhaustive() == b.data_crc_exhaustive();
+        is_match = a.instruction_crc_exhaustive() == b.instruction_crc_exhaustive();
+      }
+      const bool nodiv = ds_match && is_match;
+      const bool zero = stag_armed && inst_diff_.pair_diff(pi, pj) == 0;
+      if (ds_match) ++ds_n;
+      if (is_match) ++is_n;
+      if (nodiv) ++nodiv_n;
+      if (zero) ++zero_n;
+      u64 distance = 0;
+      if (config_.track_distance) {
+        distance = SignatureGenerator::data_distance(a, b) +
+                   SignatureGenerator::instruction_distance(a, b);
+        group_distance = std::min(group_distance, distance);
+      }
+      // Matrix cells exist for N > 2 only; for pairs the group is the cell.
+      if constexpr (!kPair) {
+        PairCounters& pc = pair_counters_[p];
+        if (ds_match) ++pc.ds_match_cycles;
+        if (is_match) ++pc.is_match_cycles;
+        if (nodiv) ++pc.nodiv_cycles;
+        if (zero) ++pc.zero_stag_cycles;
+        if (config_.track_distance) add_distance(pc, distance);
+      }
+    }
+
+    const bool ds_match = ds_n >= needed_;
+    const bool is_match = is_n >= needed_;
+    const bool nodiv = nodiv_n >= needed_;
+    lacking_now_ = nodiv;
+    ds_match_now_ = ds_match;
+    is_match_now_ = is_match;
+    track_run(ds_match, ds_run_, counters_.ds_match_cycles, hist_ds_);
+    track_run(is_match, is_run_, counters_.is_match_cycles, hist_is_);
+    track_run(nodiv, nodiv_run_, counters_.nodiv_cycles, hist_nodiv_);
+    if (zero_n >= needed_) ++counters_.zero_stag_cycles;
+    if (config_.track_distance) {
+      add_distance(counters_, group_distance);
+      hist_distance_.add(group_distance);
+    }
+
+    if (trail_) trail_->push_back(lacking_now_);
+    update_interrupt(first_cycle + k);
+  }
 }
 
 void SafeDm::finalize() {
@@ -827,6 +534,19 @@ void SafeDm::finalize() {
   if (is_run_ > 0) hist_is_.add(is_run_);
   if (nodiv_run_ > 0) hist_nodiv_.add(nodiv_run_);
   ds_run_ = is_run_ = nodiv_run_ = 0;
+}
+
+u64 SafeDm::irq_fire_at() const {
+  if (irq_pending_) return ~u64{0};
+  switch (config_.report) {
+    case ReportMode::kInterruptFirst:
+      return 1;
+    case ReportMode::kInterruptThreshold:
+      return config_.interrupt_threshold;
+    case ReportMode::kPollOnly:
+      break;
+  }
+  return ~u64{0};
 }
 
 void SafeDm::update_interrupt(u64 cycle) {
@@ -920,12 +640,16 @@ u32 SafeDm::apb_read(u32 offset) {
 
 void SafeDm::apb_write(u32 offset, u32 value) {
   switch (offset) {
-    case reg::kCtrl:
+    case reg::kCtrl: {
       enabled_ = value & 1u;
-      config_.report = static_cast<ReportMode>((value >> 1) & 0x3u);
+      // The reserved report encoding 3 leaves the mode unchanged.
+      const u32 report = (value >> 1) & 0x3u;
+      if (report <= static_cast<u32>(ReportMode::kPollOnly))
+        config_.report = static_cast<ReportMode>(report);
       if (value & (1u << 3)) reset();
       if (value & (1u << 4)) clear_interrupt();
       break;
+    }
     case reg::kThreshold:
       config_.interrupt_threshold = value;
       break;
@@ -1020,7 +744,10 @@ void SafeDm::restore_state(StateReader& r) {
   r.begin_section("SFDM", 2);
   if (r.get_u32() != config_.num_replicas)
     throw StateError("SafeDm group shape mismatch (num_replicas)");
-  config_.report = static_cast<ReportMode>(r.get_u8());
+  const u8 report = r.get_u8();
+  if (report > static_cast<u8>(ReportMode::kPollOnly))
+    throw StateError("corrupt state stream: SafeDm report mode out of range");
+  config_.report = static_cast<ReportMode>(report);
   config_.interrupt_threshold = r.get_u32();
   enabled_ = r.get_bool();
   for (unsigned i = 0; i < config_.num_replicas; ++i) seen_commit_[i] = r.get_bool();

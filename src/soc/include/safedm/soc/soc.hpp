@@ -9,9 +9,8 @@
 // and 2p+1 form pair p); this model generalizes it to ordered groups of
 // 2..8 replicas (DMON/ResiLogic-style N-variant redundancy), each replica
 // optionally carrying its own structural core config and DME-style
-// decorrelation transforms. A SocConfig without explicit groups derives
-// one homogeneous 2-replica group per core pair — bit-exact with the
-// historical pair layout.
+// decorrelation transforms. A SocConfig without explicit groups is the
+// paper's evaluation setup: one homogeneous pair.
 //
 // Redundant-execution conventions:
 //   - All replicas of a group run the same program inside the group's text
@@ -84,11 +83,6 @@ struct GroupSpec {
 };
 
 struct SocConfig {
-  /// Legacy topology knob: with `groups` empty, the SoC derives
-  /// num_cores/2 homogeneous 2-replica groups (cores 2p/2p+1 form group
-  /// p; must be even, 2..8). With explicit `groups`, num_cores is derived
-  /// from the group sizes and this field is ignored.
-  unsigned num_cores = kNumCores;
   core::CoreConfig core{};
   mem::CacheConfig l2{.size_bytes = 256 * 1024, .ways = 8, .line_bytes = 32};
   bus::L2Timing l2_timing{};
@@ -106,9 +100,9 @@ struct SocConfig {
   u64 apb_base = 0x8000'0000;
   u64 apb_size = 0x0010'0000;
 
-  /// Redundancy-group topology. Empty derives the legacy pair layout from
-  /// num_cores; group replica counts must each be in [2, 8] and the total
-  /// core count in [2, 8].
+  /// Redundancy-group topology. Empty selects the paper's single pair of
+  /// homogeneous cores; group replica counts must each be in [2, 8] and
+  /// the total core count in [2, 8].
   std::vector<GroupSpec> groups{};
 
   /// Initial arbiter round-robin position (run-to-run platform variation).
@@ -179,8 +173,6 @@ class MpSoc {
   explicit MpSoc(const SocConfig& config);
 
   unsigned num_cores() const { return static_cast<unsigned>(cores_.size()); }
-  /// Legacy alias from the pair era; every "pair" is now a group.
-  unsigned num_pairs() const { return num_groups(); }
 
   // ---- group topology ------------------------------------------------------
   unsigned num_groups() const { return static_cast<unsigned>(groups_.size()); }
@@ -210,12 +202,6 @@ class MpSoc {
   /// replica index. Groups can be loaded independently.
   void load_redundant_group(unsigned group, const assembler::Program& program,
                             unsigned stagger_nops = 0, unsigned delayed_replica = 1);
-
-  /// Legacy alias (pair == 2-replica group).
-  void load_redundant_pair(unsigned pair, const assembler::Program& program,
-                           unsigned stagger_nops = 0, unsigned delayed_local = 1) {
-    load_redundant_group(pair, program, stagger_nops, delayed_local);
-  }
 
   /// Load two different programs onto pair 0 (diverse software use case).
   void load_distinct(const assembler::Program& program0, const assembler::Program& program1);

@@ -45,14 +45,10 @@ u64 core_config_fingerprint(const core::CoreConfig& c) {
 }  // namespace
 
 MpSoc::MpSoc(const SocConfig& config) : config_(config) {
-  // Normalize the topology: explicit groups win; otherwise derive the
-  // legacy pair layout (cores 2p/2p+1 form group p) from num_cores.
+  // Normalize the topology: no explicit groups means the paper's single
+  // pair of homogeneous cores.
   if (config_.groups.empty()) {
-    SAFEDM_CHECK_MSG(config.num_cores >= 2 && config.num_cores <= 8 &&
-                         config.num_cores % 2 == 0,
-                     "num_cores must be even and in [2, 8]");
-    for (unsigned p = 0; p < config.num_cores / 2; ++p)
-      groups_.push_back(GroupSpec::homogeneous(2));
+    groups_.push_back(GroupSpec::homogeneous(kNumCores));
   } else {
     groups_ = config_.groups;
     unsigned total = 0;
@@ -62,7 +58,6 @@ MpSoc::MpSoc(const SocConfig& config) : config_(config) {
       total += group.size();
     }
     SAFEDM_CHECK_MSG(total <= 8, "groups must cover at most 8 cores, got " << total);
-    config_.num_cores = total;
   }
   SAFEDM_CHECK_MSG(config.observer_batch >= 1, "observer_batch must be >= 1");
 
@@ -99,7 +94,7 @@ MpSoc::MpSoc(const SocConfig& config) : config_(config) {
 
   // Derived per-core data segment bases (shared_data: the whole group
   // shares its first replica's segment, offsets of the others ignored).
-  core_data_base_.resize(config_.num_cores);
+  core_data_base_.resize(next_core);
   for (unsigned g = 0; g < groups_.size(); ++g)
     for (unsigned r = 0; r < groups_[g].size(); ++r) {
       const unsigned layout_r = config_.shared_data ? 0 : r;
@@ -121,11 +116,11 @@ MpSoc::MpSoc(const SocConfig& config) : config_(config) {
       cores_.push_back(std::make_unique<core::Core>(effective_core_config(g, r), *mem_port_,
                                                     *ahb_, "core" + std::to_string(i)));
     }
-  frames_.resize(config_.num_cores);
-  prelude_commits_.assign(config_.num_cores, 0);
+  frames_.resize(num_cores());
+  prelude_commits_.assign(num_cores(), 0);
   observers_.resize(groups_.size());
   if (config_.observer_batch > 1) {
-    obs_frames_.resize(config_.num_cores);
+    obs_frames_.resize(num_cores());
     for (auto& ring : obs_frames_) ring.resize(config_.observer_batch);
   }
   // Stable per-group frame/ring pointer tables for group delivery
@@ -139,7 +134,7 @@ MpSoc::MpSoc(const SocConfig& config) : config_(config) {
         group_rings_[g].push_back(obs_frames_[group_first_[g] + r].data());
     }
   // Cores come out of reset parked; loading a group brings it up.
-  for (unsigned i = 0; i < config_.num_cores; ++i) park_core(i);
+  for (unsigned i = 0; i < num_cores(); ++i) park_core(i);
 }
 
 core::CoreConfig MpSoc::effective_core_config(unsigned group, unsigned replica) const {
@@ -419,7 +414,7 @@ void MpSoc::save_state(StateWriter& w) const {
   w.begin_section("MSOC", 2);
   // Config fingerprint: a snapshot only restores into an identically
   // configured SoC (same topology, address map, arbiter bias).
-  w.put_u32(config_.num_cores);
+  w.put_u32(num_cores());
   w.put_u64(config_.mem_base);
   w.put_u64(config_.mem_size);
   w.put_u64(config_.text_base);
@@ -459,7 +454,7 @@ void MpSoc::restore_state(StateReader& r) {
   flush_observers();
   r.begin_section("MSOC", 2);
   bool config_ok =
-      r.get_u32() == config_.num_cores && r.get_u64() == config_.mem_base &&
+      r.get_u32() == num_cores() && r.get_u64() == config_.mem_base &&
       r.get_u64() == config_.mem_size && r.get_u64() == config_.text_base &&
       r.get_u64() == config_.text_stride && r.get_u64() == config_.data_base0 &&
       r.get_u64() == config_.data_base1 && r.get_bool() == config_.shared_data &&

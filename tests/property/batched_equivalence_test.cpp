@@ -1,11 +1,12 @@
-// Property test: SafeDm::on_cycles (the chunked batched fast path) is
-// bit-identical to per-cycle on_cycle delivery — same verdict trail, same
-// counters, same IRQ timing, and byte-identical serialized state — no
-// matter where the batch boundaries fall, which compare kernel runs, or
-// whether a snapshot/restore lands mid-stream. Scenarios sweep compare
-// modes, IS modes, port counts 1-3, and depths {4, 8, 64, 128}; depths
-// beyond 64 and CRC/flat-list modes exercise on_cycles' per-cycle
-// fallback, which must be just as boundary-independent as the fast path.
+// Property test: SafeDm::on_cycles (chunked delivery) is bit-identical to
+// per-cycle on_cycle delivery — same verdict trail, same counters, same
+// IRQ timing, and byte-identical serialized state — no matter where the
+// batch boundaries fall, which compare kernel runs, or whether a
+// snapshot/restore lands mid-stream. Scenarios sweep compare modes, IS
+// modes, port counts 1-3, and depths {4, 8, 64, 128}; raw per-stage
+// compare at depth <= 64 runs the monitor kernel's plane strategy on
+// chunks, everything else its capture strategy, and both must be just as
+// boundary-independent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,8 +194,8 @@ TEST_P(BatchedEquivalence, TrailCountersAndStateMatchPerCycleDelivery) {
   EXPECT_EQ(want, monitor_bytes(bat));
   EXPECT_EQ(want, monitor_bytes(restored));
 
-  // The eligible configurations must actually have taken the chunked fast
-  // path (fast-path steps dominate once armed), not fallen back silently.
+  // The plane-strategy configurations must keep every pair on the
+  // comparator's incremental steps (fast updates dominate once armed).
   if (config.compare == CompareMode::kRaw && config.is_mode == IsMode::kPerStage &&
       config.data_fifo_depth <= 64) {
     EXPECT_GT(bat.comparator_stats().fast_updates, 1000u);
@@ -240,8 +241,17 @@ TEST(BatchedKernelSweep, AllSupportedKernelsProduceIdenticalState) {
 // through the handler) under batched delivery, in both interrupt report
 // modes. Both monitors advance in lockstep chunk-by-chunk; a pending IRQ
 // is cleared on both at the chunk boundary so several interrupts fire.
+// The handler may also act on the monitor itself, as an RTOS hook does:
+// clearing the latch (so the IRQ re-fires mid-chunk) or resetting the
+// monitor, and batched delivery must honour that from the next cycle on.
+enum class HandlerAction { kRecord, kClear, kReset };
+
 TEST(BatchedIrqTiming, HandlerSeesIdenticalCycles) {
-  for (const ReportMode report : {ReportMode::kInterruptFirst, ReportMode::kInterruptThreshold}) {
+  for (const auto& [report, action] :
+       {std::pair{ReportMode::kInterruptFirst, HandlerAction::kRecord},
+        std::pair{ReportMode::kInterruptThreshold, HandlerAction::kRecord},
+        std::pair{ReportMode::kInterruptThreshold, HandlerAction::kClear},
+        std::pair{ReportMode::kInterruptThreshold, HandlerAction::kReset}}) {
     SafeDmConfig config;
     config.data_fifo_depth = 4;
     config.num_ports = 3;
@@ -255,8 +265,15 @@ TEST(BatchedIrqTiming, HandlerSeesIdenticalCycles) {
     SafeDm ref(config);
     SafeDm bat(config);
     std::vector<u64> ref_irqs, bat_irqs;
-    ref.set_interrupt_handler([&](u64 cycle) { ref_irqs.push_back(cycle); });
-    bat.set_interrupt_handler([&](u64 cycle) { bat_irqs.push_back(cycle); });
+    const auto handler = [action = action](SafeDm& dm, std::vector<u64>& irqs) {
+      return [&dm, &irqs, action](u64 cycle) {
+        irqs.push_back(cycle);
+        if (action == HandlerAction::kClear) dm.clear_interrupt();
+        if (action == HandlerAction::kReset) dm.reset();
+      };
+    };
+    ref.set_interrupt_handler(handler(ref, ref_irqs));
+    bat.set_interrupt_handler(handler(bat, bat_irqs));
 
     Xoshiro256 chunk_rng(0xC41C);
     unsigned delivered = 0;
@@ -273,7 +290,8 @@ TEST(BatchedIrqTiming, HandlerSeesIdenticalCycles) {
         bat.clear_interrupt();
       }
     }
-    EXPECT_EQ(ref_irqs, bat_irqs) << "report mode " << static_cast<int>(report);
+    EXPECT_EQ(ref_irqs, bat_irqs) << "report mode " << static_cast<int>(report) << " action "
+                                  << static_cast<int>(action);
     EXPECT_GT(ref_irqs.size(), 1u) << "schedule should re-fire after clears";
     EXPECT_EQ(ref.counters().interrupts, bat.counters().interrupts);
     EXPECT_EQ(monitor_bytes(ref), monitor_bytes(bat));

@@ -12,6 +12,10 @@
 // from a tiny alphabet so coincidental matches are frequent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "safedm/common/rng.hpp"
 #include "safedm/safedm/comparator.hpp"
 #include "safedm/safedm/monitor.hpp"
@@ -154,54 +158,97 @@ TEST(ComparatorDeepFifo, Depth128StaysOnTheIncrementalFastPath) {
   EXPECT_EQ(stats.realign_scans, 0u);
 }
 
-// Monitor-level equivalence: a SafeDm on the incremental comparator and a
-// SafeDm on the exhaustive path, fed the same random stream (including
-// enable toggles and mid-stream resets), must agree on every per-cycle
-// flag and every counter.
+// Monitor-level equivalence: the monitor kernel (incremental compare, fed
+// in random chunk sizes) and the exhaustive per-cycle reference step, fed
+// the same random N-replica stream (including a mid-stream reset), must
+// agree on every per-chunk flag, the verdict trail, the interrupt cycles,
+// the group counters, and every cell of the pairwise matrix.
 TEST(SafeDmIncrementalEquivalence, CountersMatchExhaustivePath) {
-  for (const CompareMode compare : {CompareMode::kRaw, CompareMode::kCrc32}) {
-    for (const IsMode is_mode : {IsMode::kPerStage, IsMode::kFlatList}) {
-      SafeDmConfig config;
-      config.data_fifo_depth = 4;
-      config.num_ports = 3;
-      config.compare = compare;
-      config.is_mode = is_mode;
-      config.start_enabled = true;
-      config.arm_on_first_commit = true;
-      SafeDmConfig exhaustive_config = config;
-      exhaustive_config.incremental_compare = false;
+  for (const unsigned n : {2u, 3u, 8u}) {
+    for (const CompareMode compare : {CompareMode::kRaw, CompareMode::kCrc32}) {
+      for (const IsMode is_mode : {IsMode::kPerStage, IsMode::kFlatList}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " compare=" +
+                     std::to_string(static_cast<int>(compare)) +
+                     " is_mode=" + std::to_string(static_cast<int>(is_mode)));
+        SafeDmConfig config;
+        config.num_replicas = n;
+        config.data_fifo_depth = 4;
+        config.num_ports = 3;
+        config.compare = compare;
+        config.is_mode = is_mode;
+        config.start_enabled = true;
+        config.arm_on_first_commit = true;
+        config.report = ReportMode::kInterruptThreshold;
+        config.interrupt_threshold = 25;
+        SafeDmConfig exhaustive_config = config;
+        exhaustive_config.incremental_compare = false;
 
-      SafeDm incremental(config);
-      SafeDm exhaustive(exhaustive_config);
-      Xoshiro256 rng(0xC0FFEE + static_cast<u64>(compare) * 2 + static_cast<u64>(is_mode));
+        SafeDm incremental(config);
+        SafeDm exhaustive(exhaustive_config);
+        std::vector<bool> inc_trail, exh_trail;
+        std::vector<u64> inc_irqs, exh_irqs;
+        incremental.set_verdict_trail(&inc_trail);
+        exhaustive.set_verdict_trail(&exh_trail);
+        incremental.set_interrupt_handler([&](u64 cycle) { inc_irqs.push_back(cycle); });
+        exhaustive.set_interrupt_handler([&](u64 cycle) { exh_irqs.push_back(cycle); });
 
-      for (u64 cycle = 0; cycle < 3000; ++cycle) {
-        core::CoreTapFrame f0 = small_frame(rng);
-        core::CoreTapFrame f1 = rng.chance(0.6) ? f0 : small_frame(rng);
-        f0.hold = rng.chance(0.2);
-        f1.hold = rng.chance(0.25);
-        incremental.on_cycle(cycle, f0, f1);
-        exhaustive.on_cycle(cycle, f0, f1);
-        ASSERT_EQ(incremental.lacking_diversity_now(), exhaustive.lacking_diversity_now())
-            << "cycle " << cycle;
-        ASSERT_EQ(incremental.ds_matched_now(), exhaustive.ds_matched_now())
-            << "cycle " << cycle;
-        ASSERT_EQ(incremental.is_matched_now(), exhaustive.is_matched_now())
-            << "cycle " << cycle;
-        if (cycle == 1500) {  // mid-stream reset must resync the comparator
-          incremental.reset();
-          exhaustive.reset();
+        constexpr unsigned kCycles = 3000;
+        constexpr unsigned kResetAt = 1500;  // mid-stream reset must resync the comparators
+        Xoshiro256 rng(0xC0FFEE + n * 4 + static_cast<u64>(compare) * 2 +
+                       static_cast<u64>(is_mode));
+        std::vector<std::vector<core::CoreTapFrame>> lanes(n);
+        for (unsigned c = 0; c < kCycles; ++c) {
+          const core::CoreTapFrame base = small_frame(rng);
+          for (unsigned r = 0; r < n; ++r) {
+            core::CoreTapFrame f = r == 0 || rng.chance(0.6) ? base : small_frame(rng);
+            f.hold = rng.chance(r == 0 ? 0.2 : 0.25);
+            lanes[r].push_back(f);
+          }
+        }
+
+        std::vector<const core::CoreTapFrame*> frames(n);
+        unsigned at = 0;
+        while (at < kCycles) {
+          unsigned m = static_cast<unsigned>(rng.range(1, 40));
+          if (at < kResetAt) m = std::min(m, kResetAt - at);
+          m = std::min(m, kCycles - at);
+          for (unsigned r = 0; r < n; ++r) frames[r] = lanes[r].data() + at;
+          incremental.on_group_cycles(at, frames.data(), n, m);
+          exhaustive.on_group_cycles(at, frames.data(), n, m);
+          at += m;
+          ASSERT_EQ(incremental.lacking_diversity_now(), exhaustive.lacking_diversity_now())
+              << "cycle " << at;
+          ASSERT_EQ(incremental.ds_matched_now(), exhaustive.ds_matched_now()) << "cycle " << at;
+          ASSERT_EQ(incremental.is_matched_now(), exhaustive.is_matched_now()) << "cycle " << at;
+          if (at == kResetAt) {
+            incremental.reset();
+            exhaustive.reset();
+          }
+        }
+        incremental.finalize();
+        exhaustive.finalize();
+
+        EXPECT_EQ(inc_trail, exh_trail);
+        EXPECT_EQ(inc_irqs, exh_irqs);
+        EXPECT_FALSE(inc_irqs.empty());
+        const auto& ci = incremental.counters();
+        const auto& ce = exhaustive.counters();
+        EXPECT_EQ(ci.monitored_cycles, ce.monitored_cycles);
+        EXPECT_EQ(ci.nodiv_cycles, ce.nodiv_cycles);
+        EXPECT_EQ(ci.ds_match_cycles, ce.ds_match_cycles);
+        EXPECT_EQ(ci.is_match_cycles, ce.is_match_cycles);
+        EXPECT_EQ(ci.zero_stag_cycles, ce.zero_stag_cycles);
+        EXPECT_EQ(ci.interrupts, ce.interrupts);
+        EXPECT_GT(ci.nodiv_cycles, 0u);
+        for (unsigned p = 0; p < incremental.num_pairs(); ++p) {
+          const PairCounters pi = incremental.pair_counters(p);
+          const PairCounters pe = exhaustive.pair_counters(p);
+          EXPECT_EQ(pi.nodiv_cycles, pe.nodiv_cycles) << "pair " << p;
+          EXPECT_EQ(pi.ds_match_cycles, pe.ds_match_cycles) << "pair " << p;
+          EXPECT_EQ(pi.is_match_cycles, pe.is_match_cycles) << "pair " << p;
+          EXPECT_EQ(pi.zero_stag_cycles, pe.zero_stag_cycles) << "pair " << p;
         }
       }
-      incremental.finalize();
-      exhaustive.finalize();
-      const auto& ci = incremental.counters();
-      const auto& ce = exhaustive.counters();
-      EXPECT_EQ(ci.monitored_cycles, ce.monitored_cycles);
-      EXPECT_EQ(ci.nodiv_cycles, ce.nodiv_cycles);
-      EXPECT_EQ(ci.ds_match_cycles, ce.ds_match_cycles);
-      EXPECT_EQ(ci.is_match_cycles, ce.is_match_cycles);
-      EXPECT_EQ(ci.zero_stag_cycles, ce.zero_stag_cycles);
     }
   }
 }

@@ -1,7 +1,7 @@
 // Property tests for the N-replica group monitor:
 //
 //   1. A 2-replica monitor driven through the *group* hooks
-//      (on_group_cycle / on_group_cycles) is bit-identical to the legacy
+//      (on_group_cycle / on_group_cycles) is bit-identical to the
 //      pairwise delivery across the full batched-equivalence sweep (48
 //      scenarios: depths x ports x compare x IS modes) — verdict trail,
 //      counters, and serialized state bytes.
@@ -70,15 +70,23 @@ core::CoreTapFrame small_frame(Xoshiro256& rng) {
 
 /// Per-replica frame streams with a phase schedule that covers lockstep,
 /// single-replica value divergence, and independent holds (mid-chunk
-/// realignment on every pair).
+/// realignment on every pair). Every replica also commits for the first
+/// time late and halts before the end, each at its own cycle, and one
+/// replica carries a staggering prelude, so arming, prelude consumption,
+/// and halting all land mid-chunk.
 struct GroupStreams {
   std::vector<std::vector<core::CoreTapFrame>> replica;  // [r][cycle]
+  unsigned prelude_replica = 0;
+  u64 prelude_commits = 0;
 
   std::vector<const core::CoreTapFrame*> bases() const {
     std::vector<const core::CoreTapFrame*> p;
     for (const auto& lane : replica) p.push_back(lane.data());
     return p;
   }
+
+  /// Program the stream's prelude into a monitor before feeding it.
+  void program(SafeDm& dm) const { dm.set_prelude_ignore(prelude_replica, prelude_commits); }
 };
 
 GroupStreams scripted_group_streams(unsigned n, u64 seed, unsigned cycles) {
@@ -86,6 +94,13 @@ GroupStreams scripted_group_streams(unsigned n, u64 seed, unsigned cycles) {
   GroupStreams s;
   s.replica.resize(n);
   for (auto& lane : s.replica) lane.reserve(cycles);
+  std::vector<unsigned> first_commit(n), halt_at(n);
+  for (unsigned r = 0; r < n; ++r) {
+    first_commit[r] = static_cast<unsigned>(rng.range(0, 150));
+    halt_at[r] = cycles - static_cast<unsigned>(rng.range(1, 300));
+  }
+  s.prelude_replica = static_cast<unsigned>(rng.below(n));
+  s.prelude_commits = rng.range(5, 60);
   for (unsigned cycle = 0; cycle < cycles; ++cycle) {
     const unsigned phase = (cycle / 400) % 4;
     const core::CoreTapFrame base = small_frame(rng);
@@ -105,6 +120,8 @@ GroupStreams scripted_group_streams(unsigned n, u64 seed, unsigned cycles) {
           if (rng.chance(0.2)) f = small_frame(rng);
           break;
       }
+      f.halted = cycle >= halt_at[r];
+      if (cycle < first_commit[r] || f.halted) f.commits = 0;
       s.replica[r].push_back(f);
     }
   }
@@ -140,7 +157,7 @@ void expect_same_matrix(const SafeDm& a, const SafeDm& b) {
   }
 }
 
-// ---- 1. N=2 group hooks == legacy pairwise delivery ------------------------
+// ---- 1. N=2 group hooks == pairwise delivery -------------------------------
 
 class GroupPairEquivalence : public ::testing::TestWithParam<Scenario> {};
 
@@ -158,8 +175,10 @@ TEST_P(GroupPairEquivalence, GroupHooksMatchLegacyPairwiseDelivery) {
   const GroupStreams s =
       scripted_group_streams(2, scenario.seed * 0x9E3779B97F4A7C15ULL + 7, kCycles);
 
-  SafeDm ref(config);  // legacy pairwise delivery
+  SafeDm ref(config);  // pairwise delivery
   SafeDm grp(config);  // group hooks, random chunk sizes
+  s.program(ref);
+  s.program(grp);
   std::vector<bool> ref_trail, grp_trail;
   ref.set_verdict_trail(&ref_trail);
   grp.set_verdict_trail(&grp_trail);
@@ -244,6 +263,8 @@ TEST_P(GroupBatchedEquivalence, MatrixCountersAndStateMatchPerCycleDelivery) {
 
   SafeDm ref(config);  // per-cycle group delivery
   SafeDm bat(config);  // batched, random chunk sizes
+  s.program(ref);
+  s.program(bat);
   std::vector<bool> ref_trail, bat_trail;
   ref.set_verdict_trail(&ref_trail);
   bat.set_verdict_trail(&bat_trail);
@@ -305,6 +326,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GroupBatchedEquivalence,
 // ---- 3. verdict-policy lowering identities ---------------------------------
 
 void pump_group(SafeDm& dm, const GroupStreams& s, unsigned n, unsigned cycles) {
+  s.program(dm);
   const std::vector<const core::CoreTapFrame*> bases = s.bases();
   std::vector<const core::CoreTapFrame*> frames(n);
   for (unsigned at = 0; at < cycles; at += 37) {

@@ -207,6 +207,38 @@ TEST(SnapshotRoundtrip, CorruptedSectionVersionIsRejected) {
   EXPECT_THROW(victim.restore(bytes), StateError);
 }
 
+TEST(SnapshotRoundtrip, OutOfRangeReportModeIsRejected) {
+  Rig rig;
+  rig.load(workloads::build("bitcount", 1));
+  for (int i = 0; i < 500; ++i) rig.soc.step();
+  StateWriter w;
+  rig.dm.save_state(w);
+  std::vector<u8> bytes = w.take();
+  // Monitor-only stream: the 8-byte magic, the SFDM section header (tag,
+  // version, length: 16 bytes), the u32 replica count, then the report
+  // mode byte.
+  constexpr std::size_t kReportByte = 8 + 16 + 4;
+  ASSERT_EQ(bytes[kReportByte], static_cast<u8>(rig.dm.config().report));
+  for (const u8 hostile : {u8{3}, u8{0x80}, u8{0xFF}}) {
+    bytes[kReportByte] = hostile;
+    monitor::SafeDm victim(rig.dm.config());
+    StateReader r(bytes);
+    EXPECT_THROW(victim.restore_state(r), StateError) << "report byte " << int{hostile};
+  }
+}
+
+TEST(SnapshotRoundtrip, ReservedApbReportModeKeepsTheStreamRestorable) {
+  monitor::SafeDm dm(monitor::SafeDmConfig{});
+  dm.apb_write(monitor::reg::kCtrl, 1u | (3u << 1));  // encoding 3 is reserved
+  EXPECT_EQ(dm.config().report, monitor::ReportMode::kPollOnly);
+  StateWriter w;
+  dm.save_state(w);
+  const std::vector<u8> bytes = w.take();
+  monitor::SafeDm restored(monitor::SafeDmConfig{});
+  StateReader r(bytes);
+  EXPECT_NO_THROW(restored.restore_state(r));
+}
+
 TEST(SnapshotRoundtrip, ConfigFingerprintMismatchIsRejected) {
   soc::MpSoc small(soc::SocConfig{});
   small.load_redundant(workloads::build("bitcount", 1));
@@ -214,7 +246,7 @@ TEST(SnapshotRoundtrip, ConfigFingerprintMismatchIsRejected) {
   const Snapshot snap = small.snapshot();
 
   soc::SocConfig quad;
-  quad.num_cores = 4;
+  quad.groups = {soc::GroupSpec::homogeneous(2), soc::GroupSpec::homogeneous(2)};
   soc::MpSoc other(quad);
   EXPECT_THROW(other.restore(snap), StateError);
 }

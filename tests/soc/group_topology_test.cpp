@@ -1,6 +1,6 @@
-// Redundancy-group topology: construction contract (num_cores "even,
-// 2..8"; explicit groups cover 2..8 replicas each, at most 8 cores
-// total; decorrelation offsets validated against the platform strides)
+// Redundancy-group topology: construction contract (the default is one
+// pair; explicit groups cover 2..8 replicas each, at most 8 cores total;
+// decorrelation offsets validated against the platform strides)
 // plus the per-replica decorrelation transforms observable through the
 // loaded SoC — distinct text bases, data bases, stack tops, and
 // shuffled-but-equivalent replica images.
@@ -14,27 +14,14 @@
 namespace safedm::soc {
 namespace {
 
-TEST(GroupTopology, LegacyNumCoresContract) {
-  for (const unsigned good : {2u, 4u, 6u, 8u}) {
-    SocConfig config;
-    config.num_cores = good;
-    MpSoc soc(config);
-    EXPECT_EQ(soc.num_cores(), good);
-    EXPECT_EQ(soc.num_groups(), good / 2);
-    for (unsigned g = 0; g < soc.num_groups(); ++g) {
-      EXPECT_EQ(soc.group_size(g), 2u);
-      EXPECT_EQ(soc.group_core(g, 0), 2 * g);
-      EXPECT_EQ(soc.group_core(g, 1), 2 * g + 1);
-    }
-  }
-  for (const unsigned bad : {0u, 1u, 3u, 5u, 7u, 9u, 10u, 16u}) {
-    SocConfig config;
-    config.num_cores = bad;
-    EXPECT_THROW(MpSoc{config}, CheckError) << "num_cores " << bad;
-  }
-}
-
 TEST(GroupTopology, ExplicitGroupShapeContract) {
+  // No explicit groups: the paper's single pair.
+  {
+    MpSoc soc{SocConfig{}};
+    EXPECT_EQ(soc.num_cores(), 2u);
+    EXPECT_EQ(soc.num_groups(), 1u);
+    EXPECT_EQ(soc.group_size(0), 2u);
+  }
   // Replica counts outside [2, 8] are rejected.
   for (const unsigned bad : {0u, 1u, 9u}) {
     SocConfig config;
@@ -48,11 +35,9 @@ TEST(GroupTopology, ExplicitGroupShapeContract) {
     config.groups = {GroupSpec::homogeneous(5), GroupSpec::homogeneous(4)};
     EXPECT_THROW(MpSoc{config}, CheckError);
   }
-  // 3 + 5 = 8 is fine, and num_cores is derived (the legacy field is
-  // ignored when groups are explicit).
+  // 3 + 5 = 8 is fine, and the core count follows from the groups.
   {
     SocConfig config;
-    config.num_cores = 2;
     config.groups = {GroupSpec::homogeneous(3), GroupSpec::homogeneous(5)};
     MpSoc soc(config);
     EXPECT_EQ(soc.num_cores(), 8u);
